@@ -7,12 +7,13 @@ coefficient accumulation must go through the privatized ``param_grads``
 buffers.  This module checks that contract from the source: it parses a
 layer class with :mod:`ast`, extracts every array write its chunk
 methods perform (subscript assignment, ``np.copyto``, ufunc ``out=``,
-``blaslib.gemm/gemv`` output operands, ``im2col/col2im`` ``out=``,
-``np.add.at``, ``.fill``), resolves each write back to a *root*
+``blaslib.gemm/gemm_batched/gemv`` output operands, ``im2col/col2im``
+``out=``, ``np.add.at``, ``.fill``), resolves each write back to a *root*
 (bottom/top blob data/diff, ``param_grads``, parameter blob diffs,
 ``self`` attributes, or freshly allocated locals), and decides whether
-the write is *chunk-bounded* — confined to the ``[lo, hi)`` slice or to
-an index drawn from ``range(lo, hi)``.
+the write is *chunk-bounded* — confined to the ``[lo, hi)`` slice, to an
+index drawn from ``range(lo, hi)``, or to a sub-range yielded by
+``aligned_blocks(lo, hi, block)`` (the block-batched kernels' idiom).
 
 Classification per pass:
 
@@ -62,6 +63,10 @@ _FRESH_FUNCS = {
 # pool hands each worker thread its own buffer, so a pooled array is as
 # chunk-private as a fresh np.empty.
 _POOL_FUNCS = {"scratch_buffer"}
+
+# Generators yielding (start, stop) sub-ranges of the chunk they are
+# handed: their loop targets are chunk bounds, like a range(lo, hi) index.
+_SUBRANGE_FUNCS = {"aligned_blocks"}
 
 # Methods that return a *view* of their receiver (alias-preserving).
 _VIEW_METHODS = {"reshape", "ravel", "view", "squeeze", "transpose"}
@@ -356,6 +361,16 @@ class _ChunkVisitor(ast.NodeVisitor):
                 self.bound_names.add(node.target.id)
             else:
                 self.env.setdefault(node.target.id, _UNKNOWN)
+        elif (isinstance(node.iter, ast.Call)
+                and isinstance(node.iter.func, ast.Name)
+                and node.iter.func.id in _SUBRANGE_FUNCS
+                and isinstance(node.target, ast.Tuple)
+                and self._expr_bounded(node.iter)):
+            # `for s0, s1 in aligned_blocks(lo, hi, g)`: each yielded
+            # (start, stop) pair lies inside the chunk.
+            for elt in node.target.elts:
+                if isinstance(elt, ast.Name):
+                    self.bound_names.add(elt.id)
         else:
             self._bind_loop_target(node.target, node.iter)
         for stmt in node.body:
@@ -381,7 +396,8 @@ class _ChunkVisitor(ast.NodeVisitor):
             # blaslib.gemm(...)/gemv(...): last positional arg is output
             if (isinstance(func.value, ast.Name)
                     and func.value.id == "blaslib"):
-                if func.attr in ("gemm", "gemv") and node.args:
+                if (func.attr in ("gemm", "gemm_batched", "gemv")
+                        and node.args):
                     self._record_write(node.args[-1], node.lineno,
                                        f"blaslib.{func.attr} output")
                 # im2col/col2im write through out=

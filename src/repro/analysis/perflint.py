@@ -20,11 +20,12 @@ dtype upcast multiplies by ``space x iterations x threads``:
   ``.flatten()``, and ``.ravel()`` on a sliced receiver materialize a
   copy per call; deliberate ones (BLAS needs contiguous operands) are
   declared.
-* **PE004 — iteration-space-sized Python loop**: a ``range()`` loop
-  whose bounds are tainted by the chunk bounds ``lo``/``hi`` runs the
-  interpreter once per coalesced iteration.  Sometimes that *is* the
-  design (one BLAS call per civ, priced as ``segments`` dispatch by the
-  cost model) — then it is declared, with the why in the note.
+* **PE004 — iteration-space-sized Python loop**: a ``range()`` (or
+  ``aligned_blocks()``) loop whose bounds are tainted by the chunk
+  bounds ``lo``/``hi`` runs the interpreter a number of times that grows
+  with the chunk.  Sometimes that *is* the design (one BLAS call per
+  civ or per sample block) — then it is declared, with the why in the
+  note.
 
 Chunk-reachable means: the chunk protocol methods themselves
 (``forward_chunk``/``backward_chunk`` and ``_forward*``/``_backward*``
@@ -155,6 +156,10 @@ def _copy_sites(tree: ast.AST) -> List[Tuple[int, str]]:
     return sites
 
 
+#: Loop iterables whose trip count scales with tainted arguments.
+_CHUNK_LOOP_FUNCS = {"range", "aligned_blocks"}
+
+
 def _mentions_tainted(node: ast.AST, tainted: Set[str]) -> bool:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and sub.id in tainted:
@@ -168,9 +173,10 @@ def _loop_sites(tree: ast.FunctionDef) -> List[Tuple[int, str]]:
     Taint analysis: the chunk bounds ``lo``/``hi`` seed the tainted set;
     any name assigned from an expression mentioning a tainted name
     becomes tainted (two passes reach a fixpoint for straight-line
-    code).  A ``for`` over ``range(...)`` whose arguments mention a
-    tainted name iterates O(chunk size) times — geometry-sized loops
-    (``range(self.kernel_h)``) stay clean.
+    code).  A ``for`` over ``range(...)`` or ``aligned_blocks(...)``
+    whose arguments mention a tainted name iterates a chunk-sized number
+    of times — geometry-sized loops (``range(self.kernel_h)``) stay
+    clean.
     """
     tainted: Set[str] = set()
     arg_names = {a.arg for a in tree.args.args}
@@ -197,10 +203,11 @@ def _loop_sites(tree: ast.FunctionDef) -> List[Tuple[int, str]]:
             continue
         call = node.iter
         if (isinstance(call, ast.Call)
-                and _terminal_name(call.func) == "range"
+                and _terminal_name(call.func) in _CHUNK_LOOP_FUNCS
                 and any(_mentions_tainted(a, tainted) for a in call.args)):
             args = ", ".join(ast.unparse(a) for a in call.args)
-            sites.append((node.lineno, f"for ... in range({args})"))
+            sites.append((node.lineno,
+                          f"for ... in {_terminal_name(call.func)}({args})"))
     return sites
 
 

@@ -10,8 +10,10 @@ This package provides that surface:
 * Level 1: :func:`axpy`, :func:`axpby`, :func:`scal`, :func:`dot`,
   :func:`asum`, :func:`nrm2`, :func:`copy`, :func:`set_scalar`.
 * Level 2: :func:`gemv`, :func:`ger`.
-* Level 3: :func:`gemm`.
-* Convolution lowering: :func:`im2col`, :func:`col2im`.
+* Level 3: :func:`gemm`, and :func:`gemm_batched` for a stack of
+  same-shaped products in one call.
+* Convolution lowering: :func:`im2col`, :func:`col2im`, and their
+  block-of-images forms :func:`im2col_batched`, :func:`col2im_batched`.
 
 Two backends are registered:
 
@@ -41,8 +43,8 @@ from repro.blaslib.level1 import (
     set_scalar,
 )
 from repro.blaslib.gemv import gemv, ger
-from repro.blaslib.gemm import gemm
-from repro.blaslib.im2col import col2im, im2col
+from repro.blaslib.gemm import gemm, gemm_batched
+from repro.blaslib.im2col import col2im, col2im_batched, im2col, im2col_batched
 
 __all__ = [
     "OpCounter",
@@ -51,13 +53,16 @@ __all__ = [
     "axpy",
     "backend_name",
     "col2im",
+    "col2im_batched",
     "copy",
     "dot",
     "gemm",
+    "gemm_batched",
     "gemv",
     "ger",
     "get_backend",
     "im2col",
+    "im2col_batched",
     "nrm2",
     "op_counter",
     "scal",

@@ -48,11 +48,16 @@ def gemv(
         return y
 
     op_a = a.T if trans else a
+    # alpha == 1 and beta == 1 skip their passes: x * 1.0 == x bitwise.
+    product = op_a @ x
+    if alpha != 1.0:
+        product *= alpha
     if beta == 0.0:
-        np.copyto(y, alpha * (op_a @ x))
-    else:
+        np.copyto(y, product)
+        return y
+    if beta != 1.0:
         y *= beta
-        y += alpha * (op_a @ x)
+    y += product
     return y
 
 

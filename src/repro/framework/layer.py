@@ -30,7 +30,7 @@ the parallel execution bitwise-comparable to the sequential one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple, Type
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -254,6 +254,25 @@ class LoopSpec:
     reduction: bool = False
     grad_targets: Tuple[np.ndarray, ...] = field(default_factory=tuple)
     block: int = 1
+
+
+def aligned_blocks(lo: int, hi: int, block: int) -> Iterator[Tuple[int, int]]:
+    """Cut the chunk ``[lo, hi)`` at the absolute multiples of ``block``.
+
+    Yields ``(start, stop)`` sub-ranges of the chunk.  Because the cuts
+    sit at multiples of ``block`` rather than at offsets from ``lo``, a
+    block-batched kernel sees the same blocks however the space is
+    chunked, as long as chunk edges are themselves multiples of
+    ``block`` (the blockwise executor's contract, see
+    :meth:`Layer.grad_block`).  ``repro.analysis`` treats the yielded
+    bounds as chunk-bounded, like a ``range(lo, hi)`` index.
+    """
+    start = lo
+    while start < hi:
+        stop = min(hi, (start // block + 1) * block)
+        yield start, stop
+        start = stop
+
 
 LayerParams = Dict[str, object]
 

@@ -1,12 +1,30 @@
-"""Convolution layer, lowered to im2col + gemm per sample.
+"""Convolution layer, lowered to block-batched im2col + gemm.
 
-The coarse-grain iteration space is the batch dimension ``S``: one
-iteration unfolds one image into a column matrix and multiplies it against
-the filter bank — the exact per-sample work unit the paper assigns to a
-thread chunk for the conv1/conv2/conv3 layers.  The column scratch buffer
-comes from the per-thread pool in :mod:`repro.compiler.scratch`, so
-concurrent chunks never share scratch (the "object privatization" of
-Algorithm 4, line 2) and the steady state allocates nothing per call.
+The coarse-grain iteration space is the batch dimension ``S`` — the
+per-sample work unit the paper assigns to a thread chunk for the
+conv1/conv2/conv3 layers.  Inside a chunk the samples are processed in
+*blocks* of ``g`` samples cut at the absolute multiples of ``g``
+(:func:`~repro.framework.layer.aligned_blocks`), where ``g`` depends on
+the layer geometry only: at most :data:`MAX_BLOCK_SAMPLES` samples, and
+no more than fit a :data:`COL_BUDGET_BYTES` column buffer.  It never
+depends on the thread count.
+
+* **Forward** unfolds a block with one batched ``im2col`` and multiplies
+  it with one stacked gemm: one ``(O, K) @ (K, P)`` product per sample,
+  the same shape as the per-sample call, so every top value is bitwise
+  independent of chunking.
+* **Backward** unfolds the block once more and runs one gemm for the
+  block's ``dW`` (the block's samples summed along the gemm's inner
+  dimension), one gemm for its column gradient and one batched
+  ``col2im``.  Because blocks are the same for any chunking whose edges
+  fall on multiples of ``g``, :meth:`ConvolutionLayer.grad_block`
+  returns ``g``; the blockwise executor then merges one private buffer
+  per block in block order and stays bitwise thread-count invariant.
+
+Column buffers come from the per-thread pool in
+:mod:`repro.compiler.scratch`, so concurrent chunks never share scratch
+(the "object privatization" of Algorithm 4, line 2) and the steady state
+allocates nothing per call.
 """
 
 from __future__ import annotations
@@ -26,6 +44,7 @@ from repro.framework.layer import (
     PerfDecl,
     REDUCTION,
     RNGDecl,
+    aligned_blocks,
     register_layer,
 )
 from repro.framework.shape_inference import (
@@ -36,6 +55,12 @@ from repro.framework.shape_inference import (
     register_shape_rule,
     require_axes,
 )
+
+#: Most samples one conv block holds.
+MAX_BLOCK_SAMPLES = 8
+#: Byte budget of one block's column buffer, which caps the block size
+#: of layers with large per-sample columns (and so the scratch memory).
+COL_BUDGET_BYTES = 1 << 20
 
 
 def _pair(spec, base: str, default=None) -> tuple[int, int]:
@@ -81,9 +106,9 @@ class ConvolutionLayer(Layer):
     perf_decl = PerfDecl(
         loops=("forward_chunk", "backward_chunk"),
         note=(
-            "one im2col + gemm per coalesced iteration (sample x group) "
-            "is the chunking design, priced as segments dispatch by the "
-            "cost model; the column buffers come from the scratch pool"
+            "one batched im2col + gemm per block of up to "
+            "MAX_BLOCK_SAMPLES samples (and per group) is the chunking "
+            "design; the column buffers come from the scratch pool"
         ),
     )
 
@@ -142,9 +167,18 @@ class ConvolutionLayer(Layer):
             (c // self.group) * self.kernel_h * self.kernel_w,
             self.out_h * self.out_w,
         )
+        sample_col_bytes = (np.dtype(DTYPE).itemsize * c * self.kernel_h
+                            * self.kernel_w * self.out_h * self.out_w)
+        self._block = max(1, min(MAX_BLOCK_SAMPLES,
+                                 COL_BUDGET_BYTES // sample_col_bytes))
+
+    def grad_block(self, space: int, batch: int) -> int:
+        """The sample-block size: backward blocks are the unit of the
+        dW accumulation, so the executor must never split one."""
+        return self._block
 
     # ------------------------------------------------------------------
-    # chunk protocol: one iteration == one sample
+    # chunk protocol: one iteration == one sample, run in sample blocks
     # ------------------------------------------------------------------
     def forward_space(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> int:
         return bottom[0].shape[0]
@@ -155,27 +189,30 @@ class ConvolutionLayer(Layer):
         x = bottom[0].data
         y = top[0].data
         weights = self.blobs[0].data.reshape(self.num_output, -1)
-        col = scratch_buffer("conv.col", self._col_shape, DTYPE)
+        k, plane = self._col_shape
         cg = self.channels // self.group
         og = self.num_output // self.group
-        for s in range(lo, hi):
+        for s0, s1 in aligned_blocks(lo, hi, self._block):
+            n = s1 - s0
+            col = scratch_buffer("conv.col", (k, n * plane), DTYPE)
+            # Per-sample (K, P) views of the sample-major block columns.
+            col_items = col.reshape(k, n, plane).transpose(1, 0, 2)
+            out = y[s0:s1].reshape(n, self.num_output, plane)
             for g in range(self.group):
-                blaslib.im2col(
-                    x[s, g * cg : (g + 1) * cg],
+                blaslib.im2col_batched(
+                    x[s0:s1, g * cg : (g + 1) * cg],
                     self.kernel_h, self.kernel_w,
                     self.pad_h, self.pad_w,
                     self.stride_h, self.stride_w,
                     out=col,
                 )
-                out_plane = y[s, g * og : (g + 1) * og].reshape(og, -1)
-                blaslib.gemm(
+                blaslib.gemm_batched(
                     False, False, 1.0,
-                    weights[g * og : (g + 1) * og], col,
-                    0.0, out_plane,
+                    weights[g * og : (g + 1) * og], col_items,
+                    0.0, out[:, g * og : (g + 1) * og],
                 )
             if self.bias_term:
-                bias = self.blobs[1].data
-                y[s] += bias[:, None, None]
+                y[s0:s1] += self.blobs[1].data[:, None, None]
         top[0].mark_host_data_dirty()
 
     def backward_chunk(
@@ -193,44 +230,51 @@ class ConvolutionLayer(Layer):
         weights = self.blobs[0].data.reshape(self.num_output, -1)
         dweights = param_grads[0].reshape(self.num_output, -1)
         dbias = param_grads[1] if self.bias_term else None
-
-        col = scratch_buffer("conv.col", self._col_shape, DTYPE)
-        dcol = scratch_buffer("conv.dcol", self._col_shape, DTYPE)
+        k, plane = self._col_shape
         cg = self.channels // self.group
         og = self.num_output // self.group
         _, _, in_h, in_w = bottom[0].shape
 
-        for s in range(lo, hi):
-            dy_s = dy[s].reshape(self.num_output, -1)
+        for s0, s1 in aligned_blocks(lo, hi, self._block):
+            n = s1 - s0
+            col = scratch_buffer("conv.col", (k, n * plane), DTYPE)
+            # The block's dY as (O, n * P), sample-major like col.
+            dy_block = scratch_buffer(
+                "conv.dy", (self.num_output, n, plane), DTYPE
+            )
+            np.copyto(dy_block, dy[s0:s1].reshape(
+                n, self.num_output, plane).transpose(1, 0, 2))
+            dy_block = dy_block.reshape(self.num_output, n * plane)
             if dbias is not None:
-                dbias += dy_s.sum(axis=1)
+                dbias += dy_block.sum(axis=1)
             for g in range(self.group):
-                dy_g = dy_s[g * og : (g + 1) * og]
-                blaslib.im2col(
-                    x[s, g * cg : (g + 1) * cg],
+                dy_g = dy_block[g * og : (g + 1) * og]
+                blaslib.im2col_batched(
+                    x[s0:s1, g * cg : (g + 1) * cg],
                     self.kernel_h, self.kernel_w,
                     self.pad_h, self.pad_w,
                     self.stride_h, self.stride_w,
                     out=col,
                 )
-                # dW_g += dY_g @ col^T
+                # dW_g += dY_g @ col^T, the whole block in one gemm.
                 blaslib.gemm(
                     False, True, 1.0, dy_g, col, 1.0,
                     dweights[g * og : (g + 1) * og],
                 )
                 if dx is not None:
-                    # dcol = W_g^T @ dY_g, then fold back onto the image.
+                    # dcol = W_g^T @ dY_g, then fold back onto the images.
+                    dcol = scratch_buffer("conv.dcol", (k, n * plane), DTYPE)
                     blaslib.gemm(
                         True, False, 1.0,
                         weights[g * og : (g + 1) * og], dy_g,
                         0.0, dcol,
                     )
-                    blaslib.col2im(
-                        dcol, cg, in_h, in_w,
+                    blaslib.col2im_batched(
+                        dcol, n, cg, in_h, in_w,
                         self.kernel_h, self.kernel_w,
                         self.pad_h, self.pad_w,
                         self.stride_h, self.stride_w,
-                        out=dx[s, g * cg : (g + 1) * cg],
+                        out=dx[s0:s1, g * cg : (g + 1) * cg],
                     )
         if dx is not None:
             bottom[0].mark_host_diff_dirty()

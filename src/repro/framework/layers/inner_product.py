@@ -3,10 +3,14 @@
 Treats the bottom blob as a matrix ``(S, inner)`` — all axes after the
 batch axis are flattened — and computes ``Y = X @ W.T + b``.  The
 coalesced iteration space is ``S``: one iteration is one sample's
-``gemv``-sized product, and a chunk ``[lo, hi)`` is one ``gemm`` over the
-chunk's rows.  The backward pass accumulates ``dW`` and ``db`` into the
-privatized gradient buffers (Algorithm 5) and writes the chunk's rows of
-the bottom diff directly.
+``gemv``-sized product.  A chunk ``[lo, hi)`` runs its samples as one
+stacked product (:func:`repro.blaslib.gemm_batched`): a single call, but
+still one fixed-shape ``gemv`` per sample, so each sample's value is
+bitwise independent of how samples are chunked across threads — a
+chunk-wide 2-D gemm would let BLAS re-block the sum per chunk shape.
+The backward pass is two reduction-free loops: the bottom-diff rows over
+samples, and the weight/bias rows over outputs, where each row is one
+full-batch ``gemv`` in one stacked call.
 """
 
 from __future__ import annotations
@@ -16,12 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from repro import blaslib
-from repro.framework.blob import Blob
+from repro.compiler.scratch import scratch_buffer
+from repro.framework.blob import DTYPE, Blob
 from repro.framework.fillers import fill, stable_seed
 from repro.framework.layer import (
     FootprintDecl,
     Layer,
-    PerfDecl,
     RNGDecl,
     register_layer,
 )
@@ -48,21 +52,8 @@ class InnerProductLayer(Layer):
 
     # backward_loops() decomposes into reduction-free loops (bottom-grad
     # rows over samples, weight-grad rows over outputs), so the executed
-    # footprint is sample-disjoint despite the generic backward_chunk.
+    # footprint is sample-disjoint.
     write_footprint = FootprintDecl()
-
-    perf_decl = PerfDecl(
-        loops=("forward_chunk", "_backward_data_chunk",
-               "_backward_weight_rows"),
-        copies=("_backward_weight_rows",),
-        note=(
-            "one gemv per coalesced iteration is the chunking design "
-            "(priced as segments dispatch by the cost model): per-sample "
-            "in forward/backward-data, per-output-row in backward-weight, "
-            "where the strided dy column is copied contiguous because "
-            "gemv requires a contiguous operand"
-        ),
-    )
 
     rng_provenance = RNGDecl(seed_params=("filler_seed",),
                              fallback="stable_digest")
@@ -108,74 +99,45 @@ class InnerProductLayer(Layer):
     def forward_chunk(
         self, bottom: Sequence[Blob], top: Sequence[Blob], lo: int, hi: int
     ) -> None:
-        # One fixed-shape gemv per sample (rather than one chunk-wide
-        # gemm): the per-sample value is then independent of how samples
-        # are chunked across threads, which the blockwise reduction's
-        # bitwise thread-count invariance relies on.
         x = bottom[0].flat_data.reshape(self.outer, self.inner)
         y = top[0].flat_data.reshape(self.outer, self.num_output)
-        weights = self.blobs[0].data
-        bias = self.blobs[1].data if self.bias_term else None
-        for s in range(lo, hi):
-            blaslib.gemv(False, 1.0, weights, x[s], 0.0, y[s])
-            if bias is not None:
-                y[s] += bias
-        top[0].mark_host_data_dirty()
-
-    def backward_chunk(
-        self,
-        top: Sequence[Blob],
-        propagate_down: Sequence[bool],
-        bottom: Sequence[Blob],
-        lo: int,
-        hi: int,
-        param_grads: Sequence[np.ndarray],
-    ) -> None:
-        x = bottom[0].flat_data.reshape(self.outer, self.inner)[lo:hi]
-        dy = top[0].flat_diff.reshape(self.outer, self.num_output)[lo:hi]
-        dweights = param_grads[0].reshape(self.num_output, self.inner)
-        # dW += dY^T @ X over the chunk's rows.
-        blaslib.gemm(True, False, 1.0, dy, x, 1.0, dweights)
+        blaslib.gemm_batched(False, False, 1.0, self.blobs[0].data,
+                             x[lo:hi, :, None], 0.0, y[lo:hi, :, None])
         if self.bias_term:
-            param_grads[1] += dy.sum(axis=0)
-        if propagate_down[0]:
-            self._backward_data_chunk(top, bottom, lo, hi)
+            y[lo:hi] += self.blobs[1].data
+        top[0].mark_host_data_dirty()
 
     def _backward_data_chunk(
         self, top: Sequence[Blob], bottom: Sequence[Blob], lo: int, hi: int
     ) -> None:
-        """Bottom-gradient rows for samples ``[lo, hi)`` (disjoint).
-
-        Per-sample gemv for the same chunking-invariance reason as
-        :meth:`forward_chunk`.
-        """
+        """Bottom-gradient rows for samples ``[lo, hi)`` (disjoint), one
+        stacked per-sample ``gemv`` as in :meth:`forward_chunk`."""
         dy = top[0].flat_diff.reshape(self.outer, self.num_output)
         dx = bottom[0].flat_diff.reshape(self.outer, self.inner)
-        weights = self.blobs[0].data
-        for s in range(lo, hi):
-            blaslib.gemv(True, 1.0, weights, dy[s], 0.0, dx[s])
+        blaslib.gemm_batched(True, False, 1.0, self.blobs[0].data,
+                             dy[lo:hi, :, None], 0.0, dx[lo:hi, :, None])
         bottom[0].mark_host_diff_dirty()
 
     def _backward_weight_rows(self, top: Sequence[Blob],
                               bottom: Sequence[Blob], lo: int, hi: int) -> None:
         """Weight/bias gradient rows ``[lo, hi)``, each a full-batch sum.
 
-        Each row is computed by its own fixed-shape ``gemv`` over the
-        whole batch, so the value is independent of how rows are chunked
-        across threads — this backward loop needs no reduction and is
-        bitwise identical for any thread count.  (A single chunk-wide
-        ``gemm`` would be faster but lets BLAS re-block the inner sum per
-        chunk shape, breaking that invariance.)
+        Each row is its own fixed-shape full-batch ``gemv`` (one item of
+        a stacked call), so the value is independent of how rows are
+        chunked across threads — this backward loop needs no reduction
+        and is bitwise identical for any thread count.
         """
         x = bottom[0].flat_data.reshape(self.outer, self.inner)
         dy = top[0].flat_diff.reshape(self.outer, self.num_output)
         dweights = self.blobs[0].flat_diff.reshape(self.num_output, self.inner)
         dbias = self.blobs[1].flat_diff if self.bias_term else None
-        for row in range(lo, hi):
-            dy_row = np.ascontiguousarray(dy[:, row])
-            blaslib.gemv(True, 1.0, x, dy_row, 1.0, dweights[row])
-            if dbias is not None:
-                dbias[row] += dy_row.sum()
+        # The rows' dy columns, contiguous: gemv needs contiguous vectors.
+        dy_rows = scratch_buffer("ip.dy_rows", (hi - lo, self.outer), DTYPE)
+        np.copyto(dy_rows, dy[:, lo:hi].T)
+        blaslib.gemm_batched(True, False, 1.0, x, dy_rows[:, :, None],
+                             1.0, dweights[lo:hi, :, None])
+        if dbias is not None:
+            dbias[lo:hi] += dy_rows.sum(axis=1)
         self.blobs[0].mark_host_diff_dirty()
         if dbias is not None:
             self.blobs[1].mark_host_diff_dirty()

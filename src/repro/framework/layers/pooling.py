@@ -30,7 +30,6 @@ from repro.framework.blob import DTYPE, Blob
 from repro.framework.layer import (
     FootprintDecl,
     Layer,
-    PerfDecl,
     register_layer,
 )
 from repro.framework.layers.conv import _pair
@@ -67,16 +66,6 @@ class PoolingLayer(Layer):
     exact_num_top = 1
 
     write_footprint = FootprintDecl(scratch=("_max_idx",))
-
-    perf_decl = PerfDecl(
-        loops=("backward_chunk",),
-        note=(
-            "MAX backward scatter-adds one plane at a time "
-            "(np.add.at per plane): overlapping windows can route to the "
-            "same input cell, and per-plane processing keeps the "
-            "accumulation order independent of chunking"
-        ),
-    )
 
     def layer_setup(self, bottom: Sequence[Blob], top: Sequence[Blob]) -> None:
         spec = self.spec
@@ -117,6 +106,10 @@ class PoolingLayer(Layer):
                              * self.stride_h)[None, :, None]
             self._iw_base = (np.arange(self.out_w)
                              * self.stride_w)[None, None, :]
+            # Flat offset of each plane within a chunk's slab, so one
+            # scatter-add can serve the whole chunk.
+            self._plane_offsets = (np.arange(n * c, dtype=np.int64)
+                                   * (h * w))[:, None, None]
         else:
             self._ave_divisor = self._divisor_grid()
 
@@ -201,13 +194,18 @@ class PoolingLayer(Layer):
             return
         dplanes.fill(0.0)
         if self.method == "MAX":
-            flat = dplanes.reshape(count, -1)
-            idx = self._max_idx[lo:hi].reshape(count, -1)
-            grads = dout.reshape(count, -1)
-            # Scatter-add per plane; window maxima can coincide across
-            # overlapping windows, so accumulation is required.
-            for p in range(count):
-                np.add.at(flat[p], idx[p], grads[p])
+            # One scatter-add over the chunk's slab.  Window maxima can
+            # coincide across overlapping windows, so accumulation is
+            # required; the plane offsets keep planes apart, and np.add.at
+            # applies indices in order, so every cell sums its
+            # contributions in the same order as a per-plane scatter.
+            idx = scratch_buffer(
+                "pool.idx", (count, self.out_h, self.out_w), np.int64
+            )
+            np.add(self._max_idx[lo:hi], self._plane_offsets[:count],
+                   out=idx)
+            np.add.at(dplanes.reshape(-1), idx.reshape(-1),
+                      dout.reshape(-1))
         else:
             contrib = dout / self._ave_divisor[None]
             padded = scratch_buffer(

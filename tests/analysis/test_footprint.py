@@ -16,6 +16,7 @@ from repro.framework.layer import (
     SAMPLE_DISJOINT,
     SEQUENTIAL,
     UNSAFE,
+    aligned_blocks,
 )
 
 
@@ -131,6 +132,32 @@ class ProperReduction(UndeclaredReduction):
         bottom[0].flat_diff[lo:hi] = top[0].flat_diff[lo:hi]
 
 
+class AlignedBlockWriter(Layer):
+    """Block-batched kernels: writes confined to aligned_blocks(lo, hi)."""
+
+    write_footprint = FootprintDecl()
+
+    def reshape(self, bottom, top):
+        top[0].reshape_like(bottom[0])
+
+    def forward_chunk(self, bottom, top, lo, hi):
+        for s0, s1 in aligned_blocks(lo, hi, 4):
+            top[0].data[s0:s1] = bottom[0].data[s0:s1] * 2.0
+
+    def backward_chunk(self, top, pd, bottom, lo, hi, param_grads):
+        for s0, s1 in aligned_blocks(lo, hi, 4):
+            np.copyto(bottom[0].diff[s0:s1], top[0].diff[s0:s1])
+
+
+class UnboundedBlockWriter(AlignedBlockWriter):
+    """Blocks of the whole batch, not of the chunk: every chunk writes
+    every sample's bottom diff."""
+
+    def backward_chunk(self, top, pd, bottom, lo, hi, param_grads):
+        for s0, s1 in aligned_blocks(0, bottom[0].shape[0], 4):
+            np.copyto(bottom[0].diff[s0:s1], top[0].diff[s0:s1])
+
+
 def rules(report):
     return sorted({f.rule for f in report.findings})
 
@@ -177,6 +204,18 @@ class TestClassification:
         report = analyze_layer_class(UndeclaredReduction)
         assert not report.ok
         assert report.inferred_backward == REDUCTION
+        assert "FP002" in rules(report)
+
+    def test_aligned_block_writes_are_chunk_bounded(self):
+        report = analyze_layer_class(AlignedBlockWriter)
+        assert report.ok, report.findings
+        assert report.inferred_forward == SAMPLE_DISJOINT
+        assert report.inferred_backward == SAMPLE_DISJOINT
+
+    def test_blocks_of_the_whole_batch_fp002(self):
+        report = analyze_layer_class(UnboundedBlockWriter)
+        assert not report.ok
+        assert report.inferred_backward == UNSAFE
         assert "FP002" in rules(report)
 
     def test_proper_reduction_ok(self):

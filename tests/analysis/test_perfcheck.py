@@ -30,7 +30,7 @@ from repro.bench.schema import (
     load_bench,
     validate_bench,
 )
-from repro.framework.layer import PerfDecl
+from repro.framework.layer import PerfDecl, aligned_blocks
 from repro.simulator import CPUModel
 from repro.simulator.cost_model import LayerCost
 
@@ -64,6 +64,12 @@ class LoopLayer:
     def forward_chunk(self, bottom, top, lo, hi):
         for i in range(lo, hi):
             top[0].data[i] = bottom[0].data[i] * 2
+
+
+class BlockLoopLayer:
+    def forward_chunk(self, bottom, top, lo, hi):
+        for s0, s1 in aligned_blocks(lo, hi, 8):
+            top[0].data[s0:s1] = bottom[0].data[s0:s1] * 2
 
 
 class HelperLayer:
@@ -151,6 +157,11 @@ class TestPerflint:
         findings = analyze_layer_perf(LoopLayer)
         assert rules(findings) == ["PE004"]
         assert findings[0].severity == WARNING
+
+    def test_pe004_block_loop(self):
+        findings = analyze_layer_perf(BlockLoopLayer)
+        assert rules(findings) == ["PE004"]
+        assert "aligned_blocks(lo, hi, 8)" in findings[0].message
 
     def test_hazard_found_through_self_call(self):
         findings = analyze_layer_perf(HelperLayer)

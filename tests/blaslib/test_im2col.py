@@ -108,3 +108,93 @@ class TestCol2im:
         with pytest.raises(ValueError, match="col has shape"):
             blaslib.col2im(np.zeros((3, 3), np.float32),
                            1, 4, 4, 2, 2, 0, 0, 1, 1)
+
+
+#: (C, H, W, kernel_h, kernel_w, pad_h, pad_w, stride_h, stride_w):
+#: square and non-square kernels, padding, strides that drop pixels.
+GEOMETRIES = [
+    (1, 6, 6, 3, 3, 0, 0, 1, 1),
+    (2, 7, 5, 3, 2, 1, 0, 2, 1),
+    (3, 8, 9, 2, 3, 1, 2, 2, 3),
+    (2, 5, 5, 5, 5, 2, 2, 1, 1),
+]
+
+
+class TestBatched:
+    """The block-of-images lowering equals per-image calls bitwise.
+    Counts cover a full block and a last block shorter than the conv
+    layer's block size."""
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_im2col_columns_are_per_image(self, rng, geometry, count):
+        c, h, w, *args = geometry
+        images = rng.standard_normal((count, c, h, w)).astype(np.float32)
+        col = blaslib.im2col_batched(images, *args)
+        plane = col.shape[1] // count
+        for i in range(count):
+            assert np.array_equal(col[:, i * plane : (i + 1) * plane],
+                                  blaslib.im2col(images[i], *args))
+        with use_backend("reference"):
+            slow = blaslib.im2col_batched(images, *args)
+        assert np.array_equal(col, slow)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_col2im_bitwise_per_image(self, rng, geometry, count):
+        c, h, w, *args = geometry
+        k = c * args[0] * args[1]
+        plane = blaslib.im2col(np.zeros((c, h, w), np.float32),
+                               *args).shape[1]
+        col = rng.standard_normal((k, count * plane)).astype(np.float32)
+        out = np.full((count, c, h, w), np.nan, dtype=np.float32)
+        result = blaslib.col2im_batched(col, count, c, h, w, *args, out=out)
+        assert result is out
+        for i in range(count):
+            ref = blaslib.col2im(
+                np.ascontiguousarray(col[:, i * plane : (i + 1) * plane]),
+                c, h, w, *args)
+            assert out[i].tobytes() == ref.tobytes()
+        with use_backend("reference"):
+            slow = blaslib.col2im_batched(col, count, c, h, w, *args)
+        assert np.allclose(out, slow, atol=1e-5)
+
+    def test_col2im_into_strided_view(self, rng):
+        """Grouped conv folds into a channel slice of the bottom diff."""
+        args = (3, 3, 1, 1, 1, 1)
+        col = rng.standard_normal((2 * 9, 2 * 25)).astype(np.float32)
+        dx = np.zeros((2, 4, 5, 5), dtype=np.float32)
+        blaslib.col2im_batched(col, 2, 2, 5, 5, *args, out=dx[:, 2:])
+        assert np.array_equal(dx[:, :2], np.zeros((2, 2, 5, 5)))
+        assert np.array_equal(
+            dx[:, 2:], blaslib.col2im_batched(col, 2, 2, 5, 5, *args))
+
+    def test_accounting_matches_per_image(self, rng):
+        images = rng.standard_normal((3, 2, 6, 6)).astype(np.float32)
+        args = (3, 3, 1, 1, 1, 1)
+        with blaslib.op_counter() as batched:
+            col = blaslib.im2col_batched(images, *args)
+            blaslib.col2im_batched(col, 3, 2, 6, 6, *args)
+        with blaslib.op_counter() as single:
+            for image in images:
+                blaslib.col2im(blaslib.im2col(image, *args), 2, 6, 6, *args)
+        assert batched.flops == single.flops
+        assert batched.calls == {"im2col": 1, "col2im": 1}
+
+    def test_validation(self, rng):
+        images = rng.standard_normal((2, 1, 4, 4)).astype(np.float32)
+        with pytest.raises(ValueError, match=r"\(n, C, H, W\)"):
+            blaslib.im2col_batched(images[0], 2, 2, 0, 0, 1, 1)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            blaslib.im2col_batched(images, 2, 2, 0, 0, 1, 1,
+                                   out=np.empty((4, 19), np.float32))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            blaslib.im2col_batched(images, 2, 2, 0, 0, 1, 1,
+                                   out=np.empty((18, 4), np.float32).T)
+        with pytest.raises(ValueError, match="col has shape"):
+            blaslib.col2im_batched(np.zeros((4, 9), np.float32),
+                                   2, 1, 4, 4, 2, 2, 0, 0, 1, 1)
+        with pytest.raises(ValueError, match="out has shape"):
+            blaslib.col2im_batched(np.zeros((4, 18), np.float32),
+                                   2, 1, 4, 4, 2, 2, 0, 0, 1, 1,
+                                   out=np.zeros((1, 1, 4, 4), np.float32))

@@ -195,6 +195,28 @@ class TestScratchRouting:
         assert np.array_equal(bottom[0].diff, full)
 
 
+class TestMaxBackwardScatter:
+    def test_one_scatter_equals_per_plane_scatter(self, rng):
+        """The chunk-wide np.add.at must sum each cell's contributions
+        in the order the per-plane scatter did, bit for bit."""
+        layer = pool_layer(kernel_size=3, stride=1, pad=1)
+        # Few distinct values: overlapping windows share their maxima.
+        values = rng.integers(0, 3, 4 * 3 * 5 * 5).astype(np.float32)
+        bottom = [make_blob((4, 3, 5, 5), values=values)]
+        top = [Blob()]
+        layer.setup(bottom, top)
+        layer.forward(bottom, top)
+        top[0].flat_diff[:] = rng.standard_normal(top[0].count) * 1e3
+        layer.backward(top, [True], bottom)
+        planes = 4 * 3
+        expected = np.zeros((planes, 5 * 5), dtype=np.float32)
+        idx = layer._max_idx.reshape(planes, -1)
+        grads = top[0].diff.reshape(planes, -1)
+        for p in range(planes):
+            np.add.at(expected[p], idx[p], grads[p])
+        assert bottom[0].flat_diff.tobytes() == expected.tobytes()
+
+
 class TestValidation:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="pool method"):
