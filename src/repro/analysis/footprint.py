@@ -467,6 +467,51 @@ def _parse_function(func) -> Optional[ast.FunctionDef]:
     return None
 
 
+#: Methods whose own def makes a layer "chunk code": the roots of the
+#: chunk-reachability closure (perflint) and the methods whose RNG draws
+#: run under the thread team, in schedule-dependent order (DC004).
+_CHUNK_METHOD_PREFIXES = ("_backward", "_forward")
+_CHUNK_METHOD_NAMES = {"forward_chunk", "backward_chunk"}
+
+
+def _own_method_trees(cls) -> Dict[str, ast.FunctionDef]:
+    """Parsed ASTs of every function defined in the class's own __dict__."""
+    trees: Dict[str, ast.FunctionDef] = {}
+    for name, obj in cls.__dict__.items():
+        if not callable(obj) or isinstance(obj, type):
+            continue
+        func = getattr(obj, "__func__", obj)  # unwrap staticmethod et al.
+        node = _parse_function(func)
+        if node is not None:
+            trees[name] = node
+    return trees
+
+
+def _is_chunk_method(name: str) -> bool:
+    return (name in _CHUNK_METHOD_NAMES
+            or name.startswith(_CHUNK_METHOD_PREFIXES))
+
+
+def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
+    """``a.b.c`` attribute chain as a name tuple, or None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return tuple(reversed(parts))
+    return None
+
+
+def _terminal_name(func: ast.AST) -> Optional[str]:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
 def analyze_method(func, kind: str) -> Optional[Tuple[MethodWrites,
                                                       List[str]]]:
     """Extract write events from one chunk method (or helper).

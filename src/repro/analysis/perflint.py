@@ -52,7 +52,12 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.footprint import _parse_function
+from repro.analysis.footprint import (
+    _dotted,
+    _is_chunk_method,
+    _own_method_trees,
+    _terminal_name,
+)
 from repro.analysis.report import ERROR, WARNING, Finding
 
 #: numpy array-constructing calls that allocate a fresh buffer per call.
@@ -63,11 +68,6 @@ _ALLOC_CONSTRUCTORS = {
     "column_stack", "tile", "meshgrid",
 }
 
-#: Methods whose own def makes a layer "chunk code" (the roots of the
-#: chunk-reachability closure) — same convention as the DC004 lint.
-_CHUNK_METHOD_PREFIXES = ("_backward", "_forward")
-_CHUNK_METHOD_NAMES = {"forward_chunk", "backward_chunk"}
-
 #: PerfDecl category -> (rule, severity) of the finding it silences.
 _CATEGORY_RULES = {
     "float64": ("PE001", ERROR),
@@ -75,26 +75,6 @@ _CATEGORY_RULES = {
     "copies": ("PE003", WARNING),
     "loops": ("PE004", WARNING),
 }
-
-
-def _dotted(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    """``a.b.c`` attribute chain as a name tuple, or None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
-
-
-def _terminal_name(func: ast.AST) -> Optional[str]:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
 
 
 def _is_float64_ref(node: ast.AST) -> bool:
@@ -234,24 +214,6 @@ _HAZARD_HINTS = {
 # ---------------------------------------------------------------------------
 # chunk reachability
 # ---------------------------------------------------------------------------
-def _own_method_trees(cls) -> Dict[str, ast.FunctionDef]:
-    """Parsed ASTs of every function defined in the class's own __dict__."""
-    trees: Dict[str, ast.FunctionDef] = {}
-    for name, obj in cls.__dict__.items():
-        if not callable(obj) or isinstance(obj, type):
-            continue
-        func = getattr(obj, "__func__", obj)  # unwrap staticmethod et al.
-        node = _parse_function(func)
-        if node is not None:
-            trees[name] = node
-    return trees
-
-
-def _is_chunk_method(name: str) -> bool:
-    return (name in _CHUNK_METHOD_NAMES
-            or name.startswith(_CHUNK_METHOD_PREFIXES))
-
-
 def _self_calls(tree: ast.FunctionDef) -> Set[str]:
     """Names of own methods invoked as ``self.<name>(...)``."""
     called: Set[str] = set()

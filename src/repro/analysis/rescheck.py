@@ -56,7 +56,8 @@ from repro.analysis.detcheck import (
     first_divergence,
 )
 from repro.analysis.report import ERROR, Finding
-from repro.analysis.rng_lint import _dotted, class_constructs_rng
+from repro.analysis.footprint import _dotted, _own_method_trees
+from repro.analysis.rng_lint import class_constructs_rng
 
 #: Modes certified by default; atomic's tier promises nothing bitwise a
 #: resume could be checked against, so it is opt-in (mirrors detcheck).
@@ -151,8 +152,6 @@ def _scan_state_calls(tree: ast.AST, path: Path) -> List[Finding]:
 
 def _assigns_self_rng(cls) -> bool:
     """Does the class source assign ``self._rng`` (the capture hook)?"""
-    from repro.analysis.rng_lint import _own_method_trees
-
     for node in _own_method_trees(cls).values():
         for sub in ast.walk(node):
             if not isinstance(sub, (ast.Assign, ast.AnnAssign)):

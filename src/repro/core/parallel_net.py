@@ -1,12 +1,16 @@
 """ParallelExecutor: coarse-grain parallel forward/backward for any Net.
 
-This is the paper's transformation applied end to end.  The executor
-walks the net layer by layer (the passes themselves are inherently
-sequential — Algorithm 1); *within* each layer it distributes the
+This is the paper's transformation applied end to end.  The layer walk
+stays the net's own (:meth:`Net.forward`/:meth:`Net.backward` — the
+passes themselves are inherently sequential, Algorithm 1); the executor
+only supplies the per-layer passes :meth:`ParallelExecutor.forward_layer`
+and :meth:`ParallelExecutor.backward_layer`, which distribute the layer's
 coalesced iteration space over the thread team (Algorithm 4 for forward,
 Algorithm 5 for backward).  It is **network-agnostic**: it only touches
 the generic chunk protocol every layer inherits, never the layer's
-computation.
+computation.  Every chunk loop goes through one dispatcher, which runs a
+planned single-thread layer inline, picks the layer's schedule, announces
+chunks to a sync backend that observes them, and opens the region.
 
 Gradient reductions honour the configured mode:
 
@@ -19,8 +23,8 @@ Gradient reductions honour the configured mode:
 * ``"tree"`` — per-thread buffers combined pairwise by the master after
   the loop; deterministic per thread count.
 * ``"blockwise"`` — accumulation in fixed sample blocks, merged in block
-  order through a bounded window of block buffers; **bitwise identical
-  for every thread count**, which makes the whole training trajectory
+  order through a window of :data:`BLOCK_WINDOW` block buffers; **bitwise
+  identical for every thread count**, which makes the whole training trajectory
   thread-count invariant (the strongest reading of the paper's
   convergence-invariance claim; see DESIGN.md).
 
@@ -34,8 +38,8 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -55,8 +59,13 @@ from repro.core.reduction import (
 )
 from repro.core.scheduling import Schedule, StaticSchedule, make_schedule
 from repro.core.team import RegionContext, ThreadTeam, WorkerError
-from repro.framework.layer import LoopSpec
+from repro.framework.blob import Blob
+from repro.framework.layer import Layer, LoopSpec
 from repro.framework.net import Net
+
+#: Blockwise reduction: block buffers alive at once, which bounds its
+#: extra memory to ``BLOCK_WINDOW x sum(target sizes)``.
+BLOCK_WINDOW = 8
 
 
 def iteration_owners(
@@ -74,31 +83,32 @@ def iteration_owners(
         raise ValueError(f"space must be non-negative, got {space}")
     if num_threads < 1:
         raise ValueError(f"num_threads must be >= 1, got {num_threads}")
-    schedule = schedule or StaticSchedule()
+    chunks = (schedule or StaticSchedule()).chunk_source(space, num_threads)
+    # Threads take one chunk each in turn until every source is dry: a
+    # static thread walks its own plan row, and threads sharing a dynamic
+    # server receive its chunks round-robin.
+    live = {tid: chunks(tid) for tid in range(num_threads)}
     owners = np.full(space, -1, dtype=np.int32)
-    if schedule.is_static:
-        for tid, chunks in enumerate(schedule.plan(space, num_threads)):
-            for lo, hi in chunks:
-                owners[lo:hi] = tid
-    else:
-        server = schedule.chunk_server(space, num_threads)
-        index = 0
-        while (chunk := server.next_chunk()) is not None:
-            owners[chunk[0]:chunk[1]] = index % num_threads
-            index += 1
+    while live:
+        for tid, source in list(live.items()):
+            chunk = next(source, None)
+            if chunk is None:
+                del live[tid]
+            else:
+                owners[chunk[0]:chunk[1]] = tid
     return owners
 
 
-@dataclass(frozen=True)
-class ChunkRecord:
-    """One dispatched chunk, recorded when instrumentation is enabled."""
-
-    layer: str
-    phase: str  # "forward" or "backward"
-    lo: int
-    hi: int
-    thread_id: int
-    reduction: bool = False
+@contextmanager
+def _naming_failures(layer: str, phase: str) -> Iterator[None]:
+    """Name the layer/phase whose region failed on a :class:`WorkerError`
+    before it unwinds to the solver."""
+    try:
+        yield
+    except WorkerError as exc:
+        exc.layer = layer
+        exc.phase = phase
+        raise
 
 
 class ParallelExecutor:
@@ -113,16 +123,8 @@ class ParallelExecutor:
         Loop schedule; defaults to OpenMP static, the paper's choice.
     reduction:
         One of :data:`~repro.core.reduction.REDUCTION_MODES`.
-    block_window:
-        For ``"blockwise"``: number of block buffers alive at once
-        (bounds the extra memory to ``window x largest layer``).
     team:
         Optionally share an existing :class:`ThreadTeam`.
-    instrument:
-        When True, every dispatched chunk is recorded in
-        :attr:`ownership_log` as a :class:`ChunkRecord` (used by the
-        parallel-safety analyzer and tests).  Default off: the execution
-        paths are then byte-for-byte the uninstrumented ones.
     plan:
         Optional per-layer :class:`~repro.core.plan.ExecutionPlan`
         (typically produced by ``repro.analysis plancheck``).  Layers
@@ -138,9 +140,7 @@ class ParallelExecutor:
         num_threads: int = 1,
         schedule: Optional[Schedule] = None,
         reduction: str = "ordered",
-        block_window: int = 8,
         team: Optional[ThreadTeam] = None,
-        instrument: bool = False,
         plan: Optional[ExecutionPlan] = None,
     ) -> None:
         if team is None and num_threads < 1:
@@ -153,8 +153,6 @@ class ParallelExecutor:
                 f"unknown reduction mode {reduction!r}; expected one of "
                 f"{REDUCTION_MODES}"
             )
-        if block_window <= 0:
-            raise ValueError(f"block_window must be positive: {block_window}")
         if reduction == "ordered" and schedule is not None and not schedule.is_static:
             raise ValueError(
                 "the ordered reduction requires a static schedule to be "
@@ -162,13 +160,10 @@ class ParallelExecutor:
             )
         self.schedule = schedule or StaticSchedule()
         self.reduction = reduction
-        self.block_window = block_window
         self._own_team = team is None
         self.team = team or ThreadTeam(num_threads)
         self.pool = PrivatePool()
-        self.instrument = instrument
         self.plan = plan
-        self.ownership_log: List[ChunkRecord] = []
 
     @property
     def num_threads(self) -> int:
@@ -185,112 +180,58 @@ class ParallelExecutor:
         without a plan entry run with the executor-wide settings, so
         those stay in the minimum).
         """
-        base = invariance_tier(self.reduction, self.schedule.is_static)
-        if self.plan is None:
-            return base
-        rank = TIER_ORDER[base]
-        for layer_plan in self.plan.layers.values():
-            layer_tier = layer_plan.tier(
-                self.reduction, self.schedule.is_static
-            )
-            rank = min(rank, TIER_ORDER[layer_tier])
-        by_rank = {v: k for k, v in TIER_ORDER.items()}
-        return by_rank[rank]
+        static = self.schedule.is_static
+        tiers = [invariance_tier(self.reduction, static)]
+        if self.plan is not None:
+            tiers += [layer_plan.tier(self.reduction, static)
+                      for layer_plan in self.plan.layers.values()]
+        return min(tiers, key=TIER_ORDER.__getitem__)
 
     def _layer_plan(self, layer_name: str) -> Optional[LayerPlan]:
         if self.plan is None:
             return None
         return self.plan.for_layer(layer_name)
 
-    def _record(
-        self, layer: str, phase: str, lo: int, hi: int, tid: int,
-        reduction: bool = False,
-    ) -> None:
-        # list.append is atomic under the GIL, so worker threads may call
-        # this concurrently without a lock.
-        self.ownership_log.append(
-            ChunkRecord(layer, phase, lo, hi, tid, reduction)
-        )
-
     # ------------------------------------------------------------------
-    # forward (Algorithm 4 per layer)
+    # the net's walk, with this executor's per-layer passes
     # ------------------------------------------------------------------
     def forward(self, net: Net) -> float:
-        total = 0.0
-        for layer, bottom, top in zip(net.layers, net.bottoms, net.tops):
-            layer.reshape(bottom, top)  # sequential, as in Caffe
-            space = layer.forward_space(bottom, top)
-            if space <= 0:
-                raise ValueError(
-                    f"layer {layer.name!r} ({type(layer).__name__}) has an "
-                    f"empty coalesced forward space ({space}); check its "
-                    "batch size / bottom shapes"
-                )
-            if self.instrument:
-                name = layer.name
+        return net.forward(self.forward_layer)
 
-                def body(lo: int, hi: int, tid: int,
-                         layer=layer, bottom=bottom, top=top,
-                         name=name) -> None:
-                    self._record(name, "forward", lo, hi, tid)
-                    layer.forward_chunk(bottom, top, lo, hi)
-            else:
-                body = lambda lo, hi, tid: layer.forward_chunk(
-                    bottom, top, lo, hi
-                )
-            sync = self.team.sync
-            if sync.observes_chunks:
-                inner = body
-
-                def body(lo: int, hi: int, tid: int,
-                         inner=inner, name=layer.name) -> None:
-                    sync.chunk_point(self.team, tid, name, "forward", lo, hi)
-                    inner(lo, hi, tid)
-            layer_plan = self._layer_plan(layer.name)
-            try:
-                if layer_plan is not None and layer_plan.threads <= 1:
-                    # Planned single-thread layer: run inline on the
-                    # master, no parallel region (bitwise equal to the
-                    # sequential pass, no fork/join overhead).
-                    body(0, space, 0)
-                else:
-                    self.team.parallel_for(
-                        space,
-                        body,
-                        self.schedule if layer_plan is None
-                        else plan_schedule_for(layer_plan, space),
-                    )
-            except WorkerError as exc:
-                # Chunk-failure reporting: name the layer/phase whose
-                # region failed before the error unwinds to the solver.
-                exc.layer = layer.name
-                exc.phase = "forward"
-                raise
-            layer.forward_finalize(bottom, top)
-            for top_blob, weight in zip(top, layer.loss_weights):
-                if weight:
-                    total += weight * float(top_blob.flat_data[0])
-        return total
-
-    # ------------------------------------------------------------------
-    # backward (Algorithm 5 per layer)
-    # ------------------------------------------------------------------
     def backward(self, net: Net) -> None:
-        net._seed_loss_diffs()
-        for i in range(len(net.layers) - 1, -1, -1):
-            layer = net.layers[i]
-            if not any(net.bottom_need_backward[i]) and not layer.blobs:
-                continue
-            loops = layer.backward_loops(
-                net.tops[i], net.bottom_need_backward[i], net.bottoms[i]
+        net.backward(self.backward_layer)
+
+    def forward_layer(
+        self, layer: Layer, bottom: Sequence[Blob], top: Sequence[Blob]
+    ) -> None:
+        """Algorithm 4 for one layer: its forward chunks over the team."""
+        layer.reshape(bottom, top)  # sequential, as in Caffe
+        space = layer.forward_space(bottom, top)
+        if space <= 0:
+            raise ValueError(
+                f"layer {layer.name!r} ({type(layer).__name__}) has an "
+                f"empty coalesced forward space ({space}); check its "
+                "batch size / bottom shapes"
             )
-            try:
-                for loop in loops:
-                    self._run_backward_loop(loop, layer.name)
-            except WorkerError as exc:
-                exc.layer = layer.name
-                exc.phase = "backward"
-                raise
+        with _naming_failures(layer.name, "forward"):
+            self._dispatch(
+                layer.name, "forward", space,
+                lambda lo, hi, tid: layer.forward_chunk(bottom, top, lo, hi),
+            )
+        layer.forward_finalize(bottom, top)
+
+    def backward_layer(
+        self,
+        layer: Layer,
+        top: Sequence[Blob],
+        propagate_down: Sequence[bool],
+        bottom: Sequence[Blob],
+    ) -> None:
+        """Algorithm 5 for one layer: each backward loop over the team."""
+        loops = layer.backward_loops(top, propagate_down, bottom)
+        with _naming_failures(layer.name, "backward"):
+            for loop in loops:
+                self._run_backward_loop(loop, layer.name)
 
     def _run_backward_loop(self, loop: LoopSpec, layer_name: str = "?") -> None:
         if loop.space <= 0:
@@ -301,219 +242,152 @@ class ParallelExecutor:
             )
         layer_plan = self._layer_plan(layer_name)
         mode = self.reduction
-        inline = False
-        if layer_plan is not None:
-            if layer_plan.reduction is not None:
-                mode = layer_plan.reduction
-            inline = layer_plan.threads <= 1
-        if not loop.reduction:
-            if inline:
-                if self.instrument:
-                    self._record(layer_name, "backward", 0, loop.space, 0)
-                loop.body(0, loop.space, loop.grad_targets)
-                return
-            if self.instrument:
-                def plain_body(lo: int, hi: int, tid: int) -> None:
-                    self._record(layer_name, "backward", lo, hi, tid)
-                    loop.body(lo, hi, loop.grad_targets)
-            else:
-                plain_body = lambda lo, hi, tid: loop.body(
-                    lo, hi, loop.grad_targets
-                )
-            sync = self.team.sync
-            if sync.observes_chunks:
-                inner = plain_body
-
-                def plain_body(lo: int, hi: int, tid: int,
-                               inner=inner) -> None:
-                    sync.chunk_point(
-                        self.team, tid, layer_name, "backward", lo, hi
-                    )
-                    inner(lo, hi, tid)
-            self.team.parallel_for(
-                loop.space, plain_body,
-                self.schedule if layer_plan is None
-                else plan_schedule_for(layer_plan, loop.space),
+        if layer_plan is not None and layer_plan.reduction is not None:
+            mode = layer_plan.reduction
+        targets = loop.grad_targets
+        if not loop.reduction or (
+            layer_plan is not None and layer_plan.threads <= 1
+        ):
+            # Disjoint writes, or a planned single-thread loop that
+            # accumulates straight into the shared targets exactly like
+            # the sequential pass.
+            self._dispatch(
+                layer_name, "backward", loop.space,
+                lambda lo, hi, tid: loop.body(lo, hi, targets),
             )
-            return
-        if inline:
-            # Planned single-thread reduction: accumulate straight into
-            # the shared targets, exactly like the sequential pass.
-            if self.instrument:
-                self._record(layer_name, "backward", 0, loop.space, 0, True)
-            loop.body(0, loop.space, loop.grad_targets)
+        elif mode == "blockwise":
+            self._blockwise_loop(loop, layer_name, layer_plan)
+        elif self.num_threads == 1:
+            # A one-thread team accumulates straight into the targets,
+            # bitwise like the sequential pass.
+            loop.body(0, loop.space, targets)
+        else:
+            self._privatized_loop(loop, layer_name, mode)
+
+    # ------------------------------------------------------------------
+    # chunk dispatch
+    # ------------------------------------------------------------------
+    def _announced(
+        self, layer_name: str, phase: str, body: Callable[[int, int, int], None]
+    ) -> Callable[[int, int, int], None]:
+        """``body``, announcing each chunk first when the team's sync
+        backend observes chunks (the model checker's preemption points)."""
+        sync = self.team.sync
+        if not sync.observes_chunks:
+            return body
+
+        def announced(lo: int, hi: int, tid: int) -> None:
+            sync.chunk_point(self.team, tid, layer_name, phase, lo, hi)
+            body(lo, hi, tid)
+
+        return announced
+
+    def _dispatch(
+        self,
+        layer_name: str,
+        phase: str,
+        space: int,
+        body: Callable[[int, int, int], None],
+        merge: Optional[Callable[[RegionContext], None]] = None,
+    ) -> None:
+        """Run ``body(lo, hi, tid)`` over ``[0, space)`` as the layer's
+        plan entry (or the executor-wide setting) says.
+
+        A single-thread plan entry runs inline on the master, with no
+        parallel region; otherwise the chunks of the layer's schedule
+        are dealt over the team.  ``merge(ctx)``, when given, ends each
+        thread's share of the region (the privatized reductions'
+        ordered/critical merge).
+        """
+        body = self._announced(layer_name, phase, body)
+        layer_plan = self._layer_plan(layer_name)
+        if layer_plan is not None and layer_plan.threads <= 1:
+            body(0, space, 0)
             return
         schedule = (
             self.schedule if layer_plan is None
-            else plan_schedule_for(layer_plan, loop.space)
+            else plan_schedule_for(layer_plan, space)
         )
-        if mode == "blockwise":
-            # The blockwise window loop iterates over *block indices*,
-            # not civ iterations, so a plan's civ granularity must not
-            # rescale its chunks — keep the thread limit only.
-            block_schedule = (
-                self.schedule if layer_plan is None
-                else PlannedSchedule(
-                    make_schedule(layer_plan.schedule),
-                    layer_plan.threads,
-                )
-            )
-            self._blockwise_loop(loop, layer_name, schedule=block_schedule)
-        elif mode in ("ordered", "atomic"):
-            self._privatized_loop(
-                loop, ordered=mode == "ordered",
-                layer_name=layer_name, schedule=schedule,
-            )
-        else:  # tree
-            self._tree_loop(loop, layer_name, schedule=schedule)
+        if merge is None:
+            self.team.parallel_for(space, body, schedule)
+            return
+        chunks = schedule.chunk_source(space, self.num_threads)
+
+        def region(ctx: RegionContext) -> None:
+            for lo, hi in chunks(ctx.thread_id):
+                body(lo, hi, ctx.thread_id)
+            merge(ctx)
+
+        self.team.parallel(region)
 
     def _privatized_loop(
-        self, loop: LoopSpec, ordered: bool, layer_name: str = "?",
-        schedule: Optional[Schedule] = None,
+        self, loop: LoopSpec, layer_name: str, mode: str
     ) -> None:
-        """Algorithm 5: privatized accumulation + ordered/atomic merge."""
-        team = self.team
-        sched = schedule or self.schedule
-        sizes = [t.size for t in loop.grad_targets]
-        if team.num_threads == 1:
-            if self.instrument:
-                self._record(layer_name, "backward", 0, loop.space, 0, True)
-            loop.body(0, loop.space, loop.grad_targets)
-            return
-        plan = (
-            sched.plan(loop.space, team.num_threads)
-            if sched.is_static else None
+        """Algorithm 5: one private buffer per thread, merged in thread
+        order by the team's ordered construct (``ordered``), in
+        completion order under the critical lock (``atomic``), or
+        pairwise by the master after the region (``tree``)."""
+        targets = loop.grad_targets
+        sizes = [t.size for t in targets]
+        # Requested on the master before the region opens: the pool's
+        # bookkeeping is not thread-safe.
+        private = [
+            self.pool.request(tid, sizes) for tid in range(self.num_threads)
+        ]
+        merge = None
+        if mode != "tree":
+            def merge(ctx: RegionContext) -> None:
+                add = lambda: add_into(targets, private[ctx.thread_id])
+                (ctx.ordered if mode == "ordered" else ctx.critical)(add)
+
+        self._dispatch(
+            layer_name, "backward", loop.space,
+            lambda lo, hi, tid: loop.body(lo, hi, private[tid]), merge,
         )
-        server = (
-            None if plan is not None
-            else sched.chunk_server(loop.space, team.num_threads)
-        )
-        instrument = self.instrument
-        observe = team.sync.observes_chunks
-
-        def region(ctx: RegionContext) -> None:
-            grads = self.pool.request(ctx.thread_id, sizes)
-            if plan is not None:
-                for lo, hi in plan[ctx.thread_id]:
-                    if instrument:
-                        self._record(
-                            layer_name, "backward", lo, hi, ctx.thread_id, True
-                        )
-                    if observe:
-                        team.sync.chunk_point(
-                            team, ctx.thread_id, layer_name, "backward", lo, hi
-                        )
-                    loop.body(lo, hi, grads)
-            else:
-                while (chunk := server.next_chunk()) is not None:
-                    if instrument:
-                        self._record(
-                            layer_name, "backward", chunk[0], chunk[1],
-                            ctx.thread_id, True,
-                        )
-                    if observe:
-                        team.sync.chunk_point(
-                            team, ctx.thread_id, layer_name, "backward",
-                            chunk[0], chunk[1],
-                        )
-                    loop.body(chunk[0], chunk[1], grads)
-            merge = lambda: add_into(loop.grad_targets, grads)
-            if ordered:
-                ctx.ordered(merge)
-            else:
-                ctx.critical(merge)
-
-        team.parallel(region)
-
-    def _tree_loop(
-        self, loop: LoopSpec, layer_name: str = "?",
-        schedule: Optional[Schedule] = None,
-    ) -> None:
-        team = self.team
-        sched = schedule or self.schedule
-        sizes = [t.size for t in loop.grad_targets]
-        if team.num_threads == 1:
-            if self.instrument:
-                self._record(layer_name, "backward", 0, loop.space, 0, True)
-            loop.body(0, loop.space, loop.grad_targets)
-            return
-        plan = sched.plan(loop.space, team.num_threads) \
-            if sched.is_static else None
-        server = None if plan is not None else \
-            sched.chunk_server(loop.space, team.num_threads)
-        per_thread: List[List[np.ndarray]] = [None] * team.num_threads  # type: ignore
-        instrument = self.instrument
-        observe = team.sync.observes_chunks
-
-        def region(ctx: RegionContext) -> None:
-            grads = self.pool.request(ctx.thread_id, sizes)
-            per_thread[ctx.thread_id] = grads
-            if plan is not None:
-                for lo, hi in plan[ctx.thread_id]:
-                    if instrument:
-                        self._record(
-                            layer_name, "backward", lo, hi, ctx.thread_id, True
-                        )
-                    if observe:
-                        team.sync.chunk_point(
-                            team, ctx.thread_id, layer_name, "backward", lo, hi
-                        )
-                    loop.body(lo, hi, grads)
-            else:
-                while (chunk := server.next_chunk()) is not None:
-                    if instrument:
-                        self._record(
-                            layer_name, "backward", chunk[0], chunk[1],
-                            ctx.thread_id, True,
-                        )
-                    if observe:
-                        team.sync.chunk_point(
-                            team, ctx.thread_id, layer_name, "backward",
-                            chunk[0], chunk[1],
-                        )
-                    loop.body(chunk[0], chunk[1], grads)
-
-        team.parallel(region)
-        combined = tree_combine([g for g in per_thread if g is not None])
-        add_into(loop.grad_targets, combined)
+        if mode == "tree":
+            add_into(targets, tree_combine(private))
 
     def _blockwise_loop(
-        self, loop: LoopSpec, layer_name: str = "?",
-        schedule: Optional[Schedule] = None,
+        self, loop: LoopSpec, layer_name: str,
+        layer_plan: Optional[LayerPlan],
     ) -> None:
         """Fixed-block accumulation: bitwise thread-count invariant.
 
         The space is cut at multiples of ``loop.block`` (block boundaries
-        never depend on the thread count); a window of blocks is computed
-        in parallel — one private buffer per block — then merged in block
-        order by the master.  Memory is bounded by
-        ``block_window x sum(target sizes)``.
+        never depend on the thread count); a window of
+        :data:`BLOCK_WINDOW` blocks is computed in parallel — one private
+        buffer per block — then merged in block order by the master.
         """
-        sched = schedule or self.schedule
         block = max(loop.block, 1)
         nblocks = -(-loop.space // block)
         sizes = [t.size for t in loop.grad_targets]
-        window = self.block_window
-        for first in range(0, nblocks, window):
-            count = min(window, nblocks - first)
+        # The window loop iterates over *block indices*, not civ
+        # iterations, so a plan's civ granularity must not rescale its
+        # chunks — keep the thread limit only.
+        schedule = (
+            self.schedule if layer_plan is None
+            else PlannedSchedule(
+                make_schedule(layer_plan.schedule), layer_plan.threads
+            )
+        )
+        for first in range(0, nblocks, BLOCK_WINDOW):
+            count = min(BLOCK_WINDOW, nblocks - first)
             buffers = [self.pool.request(slot, sizes) for slot in range(count)]
+            block_body = self._announced(
+                layer_name, "backward",
+                lambda lo, hi, tid: loop.body(
+                    lo, hi, buffers[lo // block - first]
+                ),
+            )
 
             def window_body(b_lo: int, b_hi: int, tid: int) -> None:
-                for rel in range(b_lo, b_hi):
-                    block_index = first + rel
-                    lo = block_index * block
-                    hi = min(lo + block, loop.space)
-                    if self.instrument:
-                        self._record(layer_name, "backward", lo, hi, tid, True)
-                    if self.team.sync.observes_chunks:
-                        self.team.sync.chunk_point(
-                            self.team, tid, layer_name, "backward", lo, hi
-                        )
-                    loop.body(lo, hi, buffers[rel])
+                for index in range(first + b_lo, first + b_hi):
+                    lo = index * block
+                    block_body(lo, min(lo + block, loop.space), tid)
 
-            self.team.parallel_for(count, window_body, sched)
-            for rel in range(count):  # fixed block order
-                add_into(loop.grad_targets, buffers[rel])
+            self.team.parallel_for(count, window_body, schedule)
+            for buffer in buffers:  # fixed block order
+                add_into(loop.grad_targets, buffer)
 
     # ------------------------------------------------------------------
     # memory accounting & lifecycle

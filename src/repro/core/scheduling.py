@@ -13,7 +13,7 @@ is the full range with no overlap (property-tested).
 from __future__ import annotations
 
 import threading
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 Chunk = Tuple[int, int]  # [lo, hi)
 
@@ -32,6 +32,21 @@ class Schedule:
     def chunk_server(self, space: int, num_threads: int) -> "ChunkServer":
         """Shared chunk dispenser (used when :attr:`is_static` is False)."""
         raise NotImplementedError
+
+    def chunk_source(
+        self, space: int, num_threads: int
+    ) -> Callable[[int], Iterator[Chunk]]:
+        """``chunks(tid)`` iterates thread ``tid``'s chunks of one loop.
+
+        Static schedules hand each thread its own row of :meth:`plan`;
+        dynamic ones have every thread claim from one shared
+        :meth:`chunk_server` until it runs dry.
+        """
+        if self.is_static:
+            plan = self.plan(space, num_threads)
+            return lambda tid: iter(plan[tid])
+        server = self.chunk_server(space, num_threads)
+        return lambda tid: iter(server.next_chunk, None)
 
     def describe(self) -> str:
         raise NotImplementedError

@@ -2,9 +2,15 @@
 
 The paper's Figures 4 and 7 are per-layer execution-time breakdowns.
 On real multi-core hardware this module produces the same breakdown from
-*measured* wall time: a :class:`TracingExecutor` wraps any executor-like
-object and records one event per layer pass (name, pass, duration,
-thread count), aggregating across iterations.
+*measured* wall time: a :class:`TracingExecutor` wraps an executor and
+records one event per layer pass (name, pass, duration, thread count),
+aggregating across iterations.
+
+The tracer is a view, not a second runtime: the layer walk is the net's
+own and every layer runs through the wrapped executor's own per-layer
+pass, so a traced run executes exactly what trains — the same plan,
+chunking, reductions and error reporting — with a timestamp pair around
+each layer pass.
 
 On the single-core evaluation container the absolute numbers carry no
 scaling information, but the breakdown is still faithful to the real
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.framework.net import Net
 
@@ -80,69 +86,29 @@ class Trace:
 class TracingExecutor:
     """Wraps an executor and times each layer pass.
 
-    Works with both the sequential path (pass any object with
-    ``forward(net)``/``backward(net)``) and :class:`ParallelExecutor`.
-    The wrapped executor's layer loop is re-driven here so each layer
-    gets its own timestamp; semantics are unchanged (same chunking,
-    same reductions) because the underlying executor's own per-layer
-    machinery is reused.
+    The wrapped executor supplies ``forward_layer``/``backward_layer``
+    (:class:`~repro.framework.solvers.base.SequentialExecutor` and
+    :class:`~repro.core.parallel_net.ParallelExecutor` both do); the
+    net's own walk drives them, each timed.
     """
 
     def __init__(self, inner) -> None:
         self.inner = inner
         self.trace = Trace()
 
-    @property
-    def _threads(self) -> int:
-        return getattr(self.inner, "num_threads", 1)
-
     def forward(self, net: Net) -> float:
-        total = 0.0
-        for i, layer in enumerate(net.layers):
-            bottom, top = net.bottoms[i], net.tops[i]
-            start = time.perf_counter()
-            total += self._forward_layer(layer, bottom, top)
-            self.trace.record(layer.name, "forward",
-                              time.perf_counter() - start, self._threads)
-        return total
-
-    def _forward_layer(self, layer, bottom, top) -> float:
-        if hasattr(self.inner, "team"):
-            layer.reshape(bottom, top)
-            space = layer.forward_space(bottom, top)
-            self.inner.team.parallel_for(
-                space,
-                lambda lo, hi, tid: layer.forward_chunk(bottom, top, lo, hi),
-                self.inner.schedule,
-            )
-            layer.forward_finalize(bottom, top)
-            loss = 0.0
-            for top_blob, weight in zip(top, layer.loss_weights):
-                if weight:
-                    loss += weight * float(top_blob.flat_data[0])
-            return loss
-        return layer.forward(bottom, top)
+        return net.forward(self._timed("forward", self.inner.forward_layer))
 
     def backward(self, net: Net) -> None:
-        net._seed_loss_diffs()
-        for i in range(len(net.layers) - 1, -1, -1):
-            layer = net.layers[i]
-            if not any(net.bottom_need_backward[i]) and not layer.blobs:
-                continue
-            start = time.perf_counter()
-            self._backward_layer(net, i)
-            self.trace.record(layer.name, "backward",
-                              time.perf_counter() - start, self._threads)
+        net.backward(self._timed("backward", self.inner.backward_layer))
 
-    def _backward_layer(self, net: Net, index: int) -> None:
-        layer = net.layers[index]
-        if hasattr(self.inner, "_run_backward_loop"):
-            for loop in layer.backward_loops(
-                net.tops[index], net.bottom_need_backward[index],
-                net.bottoms[index],
-            ):
-                self.inner._run_backward_loop(loop)
-        else:
-            layer.backward(net.tops[index],
-                           net.bottom_need_backward[index],
-                           net.bottoms[index])
+    def _timed(self, pass_: str, layer_pass: Callable) -> Callable:
+        threads = getattr(self.inner, "num_threads", 1)
+
+        def timed(layer, *blobs) -> None:
+            start = time.perf_counter()
+            layer_pass(layer, *blobs)
+            self.trace.record(layer.name, pass_,
+                              time.perf_counter() - start, threads)
+
+        return timed

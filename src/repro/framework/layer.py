@@ -543,6 +543,10 @@ class Layer:
         space = self.forward_space(bottom, top)
         self.forward_chunk(bottom, top, 0, space)
         self.forward_finalize(bottom, top)
+        return self.loss(top)
+
+    def loss(self, top: Sequence[Blob]) -> float:
+        """This layer's weighted loss contribution, read off its tops."""
         loss = 0.0
         for top_blob, weight in zip(top, self.loss_weights):
             if weight:

@@ -15,12 +15,17 @@ Construction follows Caffe's ``Net::Init``:
 The sequential training iteration of the paper's Algorithm 1 is
 ``net.forward()`` (lines 3-7) followed by ``net.backward()`` (lines 8-10);
 the solver's ``updateCoefficients`` lives in :mod:`repro.framework.solvers`.
+
+These two methods are the only layer walk.  Each takes the per-layer
+pass as an argument (by default the layer's own sequential pass); an
+executor changes how each layer runs — e.g. chunked over a thread team —
+by passing its ``forward_layer``/``backward_layer``, never the walk.
 """
 
 from __future__ import annotations
 
 import copy as _copy
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -122,6 +127,16 @@ def _insert_splits(specs: List[LayerSpec]) -> List[LayerSpec]:
     # Splits for input blobs (producer_idx == -1) go first.
     prefix = splits_after.get(-1, [])
     return prefix + out
+
+
+def sequential_forward(layer: Layer, bottom, top) -> None:
+    """The layer's own sequential forward pass (the walk's default)."""
+    layer.forward(bottom, top)
+
+
+def sequential_backward(layer: Layer, top, propagate_down, bottom) -> None:
+    """The layer's own sequential backward pass (the walk's default)."""
+    layer.backward(top, propagate_down, bottom)
 
 
 class Net:
@@ -235,21 +250,34 @@ class Net:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def forward(self) -> float:
-        """Run the full forward pass; returns the weighted total loss."""
+    def forward(
+        self, forward_layer: Callable[..., None] = sequential_forward
+    ) -> float:
+        """Run the full forward pass; returns the weighted total loss.
+
+        ``forward_layer(layer, bottom, top)`` runs each layer's pass.
+        """
         total = 0.0
         for layer, bottom, top in zip(self.layers, self.bottoms, self.tops):
-            total += layer.forward(bottom, top)
+            forward_layer(layer, bottom, top)
+            total += layer.loss(top)
         return total
 
-    def backward(self) -> None:
-        """Run the full backward pass, accumulating parameter diffs."""
+    def backward(
+        self, backward_layer: Callable[..., None] = sequential_backward
+    ) -> None:
+        """Run the full backward pass, accumulating parameter diffs.
+
+        ``backward_layer(layer, top, propagate_down, bottom)`` runs each
+        layer's pass; layers that propagate nothing and own no
+        parameters are skipped.
+        """
         self._seed_loss_diffs()
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             if not any(self.bottom_need_backward[i]) and not layer.blobs:
                 continue
-            layer.backward(self.tops[i], self.bottom_need_backward[i],
+            backward_layer(layer, self.tops[i], self.bottom_need_backward[i],
                            self.bottoms[i])
 
     def _seed_loss_diffs(self) -> None:

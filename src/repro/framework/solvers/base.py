@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.framework.blob import DTYPE
-from repro.framework.net import Net
+from repro.framework.net import Net, sequential_backward, sequential_forward
 from repro.framework.solvers.lr_policy import learning_rate
 
 
@@ -49,6 +49,9 @@ class SolverParams:
 
 class SequentialExecutor:
     """Default executor: plain sequential forward/backward."""
+
+    forward_layer = staticmethod(sequential_forward)
+    backward_layer = staticmethod(sequential_backward)
 
     def forward(self, net: Net) -> float:
         return net.forward()

@@ -5,11 +5,14 @@ parallel execution must match sequential execution for every reduction
 mode, thread count and network.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core import ParallelExecutor
 from repro.core.scheduling import DynamicSchedule, StaticSchedule
+from repro.framework.layer import LoopSpec
 from repro.zoo import build_net
 
 
@@ -128,10 +131,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="reduction"):
             ParallelExecutor(reduction="magic")
 
-    def test_bad_window(self):
-        with pytest.raises(ValueError, match="block_window"):
-            ParallelExecutor(block_window=0)
-
     def test_shared_team_not_shut_down(self):
         from repro.core.team import ThreadTeam
         with ThreadTeam(2) as team:
@@ -179,3 +178,40 @@ class TestCifar:
             loss, grads, _ = run_once(net2, ex)
         assert loss == ref_loss
         assert np.array_equal(grads, ref_grads)
+
+
+class TestPrivateBuffersOnMaster:
+    """Per-thread private buffers are requested on the master before the
+    region opens.  Requested inside the region, every thread would insert
+    into the pool's shared dict while another iterates it for the
+    high-water mark ('dictionary changed size during iteration')."""
+
+    @pytest.mark.parametrize("mode", ["ordered", "atomic", "tree"])
+    def test_first_region_of_fresh_executor(self, mode):
+        space, ntargets = 16, 40
+        # Small integers: every merge order sums exactly, so even the
+        # atomic mode must reproduce the sequential sum bit for bit.
+        data = np.random.default_rng(0).integers(
+            -8, 8, size=(space, ntargets, 3)
+        ).astype(np.float32)
+        expected = data.sum(axis=0)
+
+        def body(lo, hi, grads):
+            for s in range(lo, hi):
+                for k in range(ntargets):
+                    grads[k] += data[s, k]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(60):
+                targets = tuple(
+                    np.zeros(3, dtype=np.float32) for _ in range(ntargets)
+                )
+                loop = LoopSpec(space=space, body=body, reduction=True,
+                                grad_targets=targets)
+                with ParallelExecutor(num_threads=8, reduction=mode) as ex:
+                    ex._run_backward_loop(loop, "synthetic")
+                assert np.array_equal(np.stack(targets), expected)
+        finally:
+            sys.setswitchinterval(interval)

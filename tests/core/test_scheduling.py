@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.plan import PlannedSchedule
 from repro.core.scheduling import (
     DynamicSchedule,
     GuidedSchedule,
@@ -11,15 +12,9 @@ from repro.core.scheduling import (
 
 
 def collect(schedule, space, threads):
-    """All chunks of a schedule, flattened."""
-    if schedule.is_static:
-        plan = schedule.plan(space, threads)
-        return [chunk for per in plan for chunk in per]
-    server = schedule.chunk_server(space, threads)
-    chunks = []
-    while (chunk := server.next_chunk()) is not None:
-        chunks.append(chunk)
-    return chunks
+    """All chunks of a schedule, flattened in thread order."""
+    chunks = schedule.chunk_source(space, threads)
+    return [chunk for tid in range(threads) for chunk in chunks(tid)]
 
 
 def assert_exact_partition(chunks, space):
@@ -99,6 +94,25 @@ class TestGuided:
         chunks = collect(GuidedSchedule(5), 100, 4)
         # all but possibly the last chunk are >= 5
         assert all(hi - lo >= 5 for lo, hi in chunks[:-1])
+
+
+class TestChunkSource:
+    @pytest.mark.parametrize("schedule", [
+        StaticSchedule(), StaticSchedule(3),
+        PlannedSchedule(StaticSchedule(), threads=2, granularity=4),
+    ])
+    def test_static_yields_each_threads_plan_row(self, schedule):
+        chunks = schedule.chunk_source(23, 4)
+        plan = schedule.plan(23, 4)
+        assert [list(chunks(tid)) for tid in range(4)] == plan
+
+    def test_dynamic_threads_drain_one_shared_server(self):
+        chunks = DynamicSchedule(2).chunk_source(9, 3)
+        first, second = chunks(0), chunks(1)
+        claimed = [next(first), next(second), next(first)]
+        claimed += list(chunks(2))
+        assert claimed == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]
+        assert list(first) == [] and list(second) == []
 
 
 class TestMakeSchedule:

@@ -1,9 +1,13 @@
 """Tests for the execution tracer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import ParallelExecutor, Trace, TracingExecutor
+from repro.core.plan import uniform_plan
+from repro.core.team import ThreadTeam, WorkerError
 from repro.framework.solvers.base import SequentialExecutor
 from repro.zoo import build_net
 
@@ -100,3 +104,77 @@ class TestTracingExecutor:
             tracer = TracingExecutor(inner)
             tracer.forward(net)
         assert all(e.threads == 2 for e in tracer.trace.events)
+
+
+class CountingTeam(ThreadTeam):
+    """A team that counts the parallel regions it opens."""
+
+    def __init__(self, num_threads):
+        super().__init__(num_threads)
+        self.regions = 0
+
+    def parallel(self, fn):
+        self.regions += 1
+        super().parallel(fn)
+
+
+def _inline_plan(net):
+    spaces = []
+    for layer, bottom, top in zip(net.layers, net.bottoms, net.tops):
+        layer.reshape(bottom, top)
+        spaces.append((layer.name, layer.forward_space(bottom, top)))
+    return uniform_plan(net.name, 0, 1, "blockwise", spaces)
+
+
+class TestTracerRunsWhatTrains:
+    """The tracer times the wrapped executor's own per-layer passes, so a
+    traced run executes exactly what an untraced one does."""
+
+    def _run(self, state, plan, traced):
+        net = build_net("lenet")
+        net.load_state_dict(state)
+        with CountingTeam(2) as team:
+            executor = ParallelExecutor(team=team, reduction="blockwise",
+                                        plan=plan)
+            runner = TracingExecutor(executor) if traced else executor
+            net.clear_param_diffs()
+            loss = runner.forward(net)
+            runner.backward(net)
+            executor.close()
+            grads = [b.flat_diff.copy() for b in net.learnable_params]
+            return loss, grads, team.regions
+
+    def test_traced_run_follows_the_plan(self):
+        probe = build_net("lenet")
+        state = probe.state_dict()
+        plan = _inline_plan(probe)
+        loss, grads, regions = self._run(state, plan, traced=False)
+        traced_loss, traced_grads, traced_regions = self._run(
+            state, plan, traced=True
+        )
+        assert regions == 0  # every layer planned inline on the master
+        assert traced_regions == regions
+        assert traced_loss == loss
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(traced_grads, grads))
+
+    def test_traced_failure_names_layer_and_phase(self):
+        net = build_net("lenet")
+        layer = net.layer("pool1")
+        own_loops = layer.backward_loops
+
+        def boom(lo, hi, grads):
+            raise RuntimeError("chunk failed")
+
+        def failing_loops(top, propagate_down, bottom):
+            return [dataclasses.replace(loop, body=boom)
+                    for loop in own_loops(top, propagate_down, bottom)]
+
+        layer.backward_loops = failing_loops
+        with ParallelExecutor(num_threads=2, reduction="blockwise") as inner:
+            tracer = TracingExecutor(inner)
+            tracer.forward(net)
+            with pytest.raises(WorkerError) as info:
+                tracer.backward(net)
+        assert info.value.layer == "pool1"
+        assert info.value.phase == "backward"
