@@ -6,18 +6,22 @@ anywhere (and a reduction loop anywhere on a multiple of its
 For the layers whose inner loops run one BLAS call per sample block —
 Convolution, InnerProduct, MAX/AVE Pooling and the fused convolution —
 every such partition must reproduce the full-range tops, bottom diffs
-and parameter gradients byte for byte.
+and parameter gradients byte for byte.  Pooling is also checked against
+the exact reference (``repro.testing.reference_pool``) over random
+geometries and special values.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ParallelExecutor
 from repro.framework.blob import Blob
 from repro.framework.layer import aligned_blocks, create_layer
+from repro.framework.layers.pooling import pool_out_size
 from repro.framework.net_spec import LayerSpec
+from repro.testing import reference_pool
 from repro.zoo import build_solver
 
 FILLERS = dict(weight_filler={"type": "gaussian", "std": 0.5},
@@ -125,6 +129,109 @@ class TestChunkingInvariance:
         for start, stop in pieces:
             assert start // block == (stop - 1) // block
             assert stop == hi or stop % block == 0
+
+
+@st.composite
+def pool_geometries(draw):
+    """Kernel 1-4, stride 1-3 and pad < kernel per axis, on images from
+    barely one window (ceil overhang, stride > kernel included) to 9."""
+    kernel = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    pad = tuple(draw(st.integers(0, k - 1)) for k in kernel)
+    size = tuple(draw(st.integers(max(1, k - 2 * p), 9))
+                 for k, p in zip(kernel, pad))
+    planes = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    return kernel, stride, pad, planes + size
+
+
+#: Special values a pooling input may hold besides quantized normals.
+SPECIALS = {"zero": (0.0, -0.0), "inf": (np.inf, -np.inf),
+            "nan": (np.nan, -np.nan)}
+
+
+def _pool_input(shape, seed, specials):
+    """Half-step values (many ties), with a share of each special."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.standard_normal(shape) * 2) / 2
+    for name in sorted(specials):
+        hit = rng.random(shape) < 0.15
+        x[hit] = rng.choice(SPECIALS[name], size=int(hit.sum()))
+    return x.astype(np.float32)
+
+
+def _bits_or_both_nan(got, want):
+    """Equal bits, except that two NaNs match whatever their payloads."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+def _pool_run(method, geometry, x, top_diff, chunks):
+    """Forward then backward over ``chunks``; (top, MAX index, bottom
+    diff) as arrays."""
+    kernel, stride, pad, shape = geometry
+    layer = create_layer(LayerSpec(
+        name="pool", type="Pooling", bottoms=["x"], tops=["t"],
+        params=dict(pool=method, kernel_h=kernel[0], kernel_w=kernel[1],
+                    stride_h=stride[0], stride_w=stride[1],
+                    pad_h=pad[0], pad_w=pad[1])))
+    bottom = [Blob(shape, name="x")]
+    bottom[0].set_data(x)
+    top = [Blob(name="t")]
+    layer.setup(bottom, top)
+    for lo, hi in chunks:
+        layer.forward_chunk(bottom, top, lo, hi)
+    top[0].diff[...] = top_diff
+    bottom[0].zero_diff()
+    for lo, hi in chunks:
+        layer.backward_chunk(top, [True], bottom, lo, hi, [])
+    idx = (layer._max_idx.reshape(top[0].shape) if method == "MAX"
+           else None)
+    return top[0].data.copy(), idx, bottom[0].diff.copy()
+
+
+class TestPoolingReference:
+    @pytest.mark.parametrize("method", ["MAX", "AVE"])
+    @given(geometry=pool_geometries(), seed=st.integers(0, 2**16),
+           specials=st.sets(st.sampled_from(sorted(SPECIALS))),
+           data=st.data())
+    @example(geometry=((3, 3), (2, 2), (0, 0), (2, 2, 6, 6)), seed=0,
+             specials={"zero"}, data=None)
+    @example(geometry=((2, 1), (3, 3), (1, 0), (1, 2, 7, 8)), seed=1,
+             specials={"inf", "nan"}, data=None)
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_any_partition_matches_reference(self, method, geometry, seed,
+                                             specials, data):
+        """Any chunking reproduces the full-range top, MAX index and
+        bottom diff byte for byte (NaN payloads included), and those
+        equal the reference's bits.  An AVE window holding two NaNs may
+        return either payload (IEEE 754 leaves NaN propagation open), so
+        AVE NaNs only have to sit where the reference's do."""
+        kernel, stride, pad, shape = geometry
+        x = _pool_input(shape, seed, specials)
+        top_shape = shape[:2] + tuple(
+            pool_out_size(*args) for args in zip(shape[2:], kernel, pad,
+                                                 stride))
+        top_diff = np.random.default_rng(seed).standard_normal(
+            top_shape).astype(np.float32)
+        space = shape[0] * shape[1]
+        chunks = ([(0, 1), (1, space)] if data is None
+                  else _partition(data, space, 1))
+        full = _pool_run(method, geometry, x, top_diff, [(0, space)])
+        top, idx, diff = _pool_run(method, geometry, x, top_diff, chunks)
+        assert top.tobytes() == full[0].tobytes()
+        assert diff.tobytes() == full[2].tobytes()
+
+        want, want_idx, want_diff = reference_pool(
+            x, method, kernel, stride, pad, top_diff=top_diff)
+        if method == "MAX":
+            assert top.tobytes() == want.tobytes()
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(full[1], want_idx)
+        else:
+            assert _bits_or_both_nan(top, want)
+        assert diff.tobytes() == want_diff.tobytes()
 
 
 def test_blockwise_three_threads_matches_sequential_lenet():
